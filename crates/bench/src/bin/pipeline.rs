@@ -2,22 +2,17 @@
 //!
 //! Sweeps ΔG = 1 … 10 000 on a synthetic Erdős–Rényi graph and records, for
 //! each delta size, the p50 wall latency of every pipeline phase (generate /
-//! group / apply / write / next-messages) under the default *adaptive*
-//! configuration — the dispatcher picks sequential / batched / parallel per
-//! round from its calibrated cost model — plus the p50 latency of a
-//! `sequential()` engine fed the identical batches, giving the speedup over
-//! pure sequential. Per-series dispatch-arm counts go into the JSON so a
-//! regression back to fan-out-at-ΔG=1 is visible in the artifact. Output is
-//! machine-readable JSON written to `results/BENCH_pipeline.json` and echoed
-//! to stdout.
+//! group / apply / write / next-messages) under `UpdateConfig::default()`,
+//! plus the p50 latency of a `sequential()` engine fed the identical batches,
+//! giving the speedup over pure sequential. Output is machine-readable JSON
+//! written to `results/BENCH_pipeline.json` and echoed to stdout.
 //!
 //! The two engines consume the same batch sequence, so the run doubles as an
 //! end-to-end bitwise check: with max aggregation their outputs must match
-//! exactly after every round, whichever arm the dispatcher chose. Because
-//! both replay the *identical* delta, the engine that runs second gets the
-//! round's working set pre-warmed into cache by the first — worth ~2× on
-//! tiny rounds — so the harness alternates which engine leads each round and
-//! the bias cancels in the p50.
+//! exactly after every round. Because both replay the *identical* delta, the
+//! engine that runs second gets the round's working set pre-warmed into cache
+//! by the first — worth ~2× on tiny rounds — so the harness alternates which
+//! engine leads each round and the bias cancels in the p50.
 //!
 //! Setting `INK_BENCH_MIN_SPEEDUP=<f64>` turns the run into a regression
 //! gate: the process exits non-zero if any delta size's speedup lands below
@@ -29,7 +24,7 @@ use ink_gnn::Aggregator;
 use ink_obs::MetricsRegistry;
 use ink_tensor::init::{seeded_rng, sparse_power_law};
 use inkstream::json::rounded;
-use inkstream::{DispatchArm, InkStream, Json, UpdateConfig};
+use inkstream::{InkStream, Json, UpdateConfig};
 use std::time::{Duration, Instant};
 
 const DELTA_SIZES: [usize; 5] = [1, 10, 100, 1_000, 10_000];
@@ -85,16 +80,14 @@ fn main() {
     let edges = 3 * n;
     let hidden = opts.hidden;
 
-    let par_cfg = UpdateConfig::default().adaptive();
+    let par_cfg = UpdateConfig::default();
     let seq_cfg = UpdateConfig::default().sequential();
     eprintln!(
         "pipeline bench: |V|={n} |E|={edges} dims=[{FEAT_DIM},{hidden},{hidden}] \
-         threads={} workers={} shards={} adaptive(min_work={} probes={})",
+         threads={} workers={} shards={}",
         rayon::current_num_threads(),
         par_cfg.worker_count(),
         par_cfg.shard_count(),
-        par_cfg.adaptive_min_work,
-        par_cfg.adaptive_probes,
     );
     let mut par = build_engine(n, edges, &opts, par_cfg);
     let mut seq = build_engine(n, edges, &opts, seq_cfg);
@@ -114,31 +107,18 @@ fn main() {
 
     let mut series = Vec::new();
     let mut speedups = Vec::new();
-    // The dispatcher probes each arm before trusting its cost model; the
-    // first series whose round work clears `adaptive_min_work` must absorb
-    // those probe rounds in warm-up so the timed rounds reflect the
-    // dispatcher's steady-state choice.
-    let mut probes_pending = true;
     for (si, &dg) in DELTA_SIZES.iter().enumerate() {
         if dg / 2 > par.graph().num_edges() {
             eprintln!("  ΔG={dg}: skipped (graph too small)");
             continue;
         }
         let rounds = opts.scenarios.unwrap_or_else(|| round_count(dg, opts.quick)).max(1);
-        // At least one warm scenario readies the scratch pools; undirected
-        // changes fan out to ~2·ΔG directed ops, hence the 2× in the gate.
-        let warm = if probes_pending && 2 * dg >= par_cfg.adaptive_min_work.max(1) {
-            probes_pending = false;
-            1 + DispatchArm::ALL.len() * par_cfg.adaptive_probes as usize
-        } else {
-            1
-        };
-        let batches = scenarios(par.graph(), dg, rounds + warm, SEED ^ (si as u64 + 1));
+        // One warm-up scenario readies the scratch pools.
+        let batches = scenarios(par.graph(), dg, rounds + 1, SEED ^ (si as u64 + 1));
 
         let mut par_wall = Vec::new();
         let mut seq_wall = Vec::new();
         let mut phases: [Vec<f64>; 5] = Default::default();
-        let mut arm_counts = [0u64; 3];
         for (round, batch) in batches.iter().enumerate() {
             // Both engines replay the identical batch, so whichever runs
             // second inherits a cache pre-warmed with exactly the rows the
@@ -159,13 +139,9 @@ fn main() {
                 let report = par.apply_delta(batch);
                 (us(t.elapsed()), sw, report)
             };
-            assert_eq!(par.output(), seq.output(), "adaptive and sequential outputs diverged");
-            if round < warm {
-                continue; // warm-up (pool warming + dispatcher probes)
-            }
-            if let Some(arm) = report.dispatch {
-                let i = DispatchArm::ALL.iter().position(|&a| a == arm).expect("ALL is total");
-                arm_counts[i] += 1;
+            assert_eq!(par.output(), seq.output(), "default and sequential outputs diverged");
+            if round == 0 {
+                continue; // warm-up
             }
             par_wall.push(pw);
             seq_wall.push(sw);
@@ -185,16 +161,9 @@ fn main() {
         let p50_seq = p50(seq_wall);
         let speedup = if p50_par > 0.0 { p50_seq / p50_par } else { 0.0 };
         speedups.push((dg, speedup));
-        let dispatch = Json::obj(
-            DispatchArm::ALL
-                .iter()
-                .zip(arm_counts)
-                .map(|(arm, c)| (arm.name(), Json::from(c)))
-                .collect::<Vec<_>>(),
-        );
         eprintln!(
-            "  ΔG={dg}: rounds={rounds} p50 adaptive={p50_par:.1}µs sequential={p50_seq:.1}µs \
-             speedup={speedup:.2}x dispatch={arm_counts:?}"
+            "  ΔG={dg}: rounds={rounds} p50 default={p50_par:.1}µs sequential={p50_seq:.1}µs \
+             speedup={speedup:.2}x"
         );
         let [gen, group, apply, write, next] = phases;
         series.push(Json::obj([
@@ -203,7 +172,6 @@ fn main() {
             ("p50_parallel_us", rounded(p50_par, 3)),
             ("p50_sequential_us", rounded(p50_seq, 3)),
             ("speedup", rounded(speedup, 4)),
-            ("dispatch", dispatch),
             (
                 "p50_phases_us",
                 Json::obj([
@@ -226,16 +194,13 @@ fn main() {
         ("threads", Json::from(rayon::current_num_threads())),
         ("workers", Json::from(par_cfg.worker_count())),
         ("shards", Json::from(par_cfg.shard_count())),
-        ("adaptive", Json::from(true)),
-        ("adaptive_min_work", Json::from(par_cfg.adaptive_min_work)),
-        ("adaptive_probes", Json::from(par_cfg.adaptive_probes)),
         ("series", Json::Arr(series)),
     ]);
     write_results("pipeline", &doc);
     write_metrics("pipeline", &registry);
 
     // CI regression gate: INK_BENCH_MIN_SPEEDUP=0.9 fails the run if the
-    // adaptive engine loses to sequential at any delta size.
+    // default engine loses to sequential at any delta size.
     if let Ok(raw) = std::env::var("INK_BENCH_MIN_SPEEDUP") {
         let min: f64 = raw.parse().unwrap_or_else(|e| {
             panic!("INK_BENCH_MIN_SPEEDUP must be an f64, got {raw:?}: {e}")

@@ -42,13 +42,23 @@ use crate::pipeline::{
 };
 use crate::stats::{LayerStats, UpdateReport};
 use ink_graph::{DeltaBatch, DynGraph, EdgeChange, EdgeOp, FxHashMap, VertexId};
-use ink_gnn::cost::{CostModel, DispatchArm};
 use ink_gnn::full::{batch_aggregate_into, batch_message_into};
 use ink_gnn::{FullState, Model};
 use ink_tensor::gemm::{gather_rows_into, gather_rows_scaled_into};
 use ink_tensor::{GemmScratch, Matrix};
 use rayon::prelude::*;
 use std::time::Instant;
+
+/// Rounds with fewer work items than this (directed ΔG edges + feature
+/// seeds) run on one worker and one shard without rayon (see DESIGN.md,
+/// "Tiny rounds").
+const TINY_ROUND_WORK: usize = 64;
+
+/// Upper bound, in `f32`s, on one gathered panel of the apply phase's
+/// recomputations (1 MiB). A panel holds whole neighborhoods, so one target
+/// with a larger neighborhood still gets a panel of its own. Unbounded, one
+/// panel reached 55 MB on an R-MAT graph with hubs.
+const PANEL_FLOATS: usize = 1 << 18;
 
 /// What an [`InkStream::resync`] cost: wall time of the bootstrap and the
 /// number of `f32` values rewritten (the full cached state).
@@ -73,10 +83,6 @@ struct RoundState {
     nw: usize,
     ns: usize,
     par_enabled: bool,
-    batched_tf: bool,
-    batched_ap: bool,
-    arm: Option<DispatchArm>,
-    round_work: usize,
     f32_read: u64,
     f32_written: u64,
     /// Wall time of the most recent [`InkStream::round_rescale`], folded
@@ -94,10 +100,6 @@ pub struct InkStream {
     hooks: Option<Box<dyn UserHooks>>,
     user_cache: Vec<Option<Matrix>>,
     scratch: ScratchPool,
-    /// Per-arm cost fits feeding the adaptive dispatcher
-    /// ([`UpdateConfig::adaptive`]). Persists across rounds so the model
-    /// keeps learning over the stream.
-    cost: CostModel,
     /// Ownership mask for partitioned operation (`None` = this engine owns
     /// every vertex). A non-owned ("ghost") vertex carries cached messages
     /// that mirror its owner's, but this engine never updates its α/h rows
@@ -127,9 +129,7 @@ impl InkStream {
         config: UpdateConfig,
         hooks: Option<Box<dyn UserHooks>>,
     ) -> Result<Self, InkError> {
-        if !model.supports_incremental() {
-            return Err(InkError::ExactGraphNorm);
-        }
+        check_model(&model)?;
         if features.cols() != model.in_dim() {
             return Err(InkError::ShapeMismatch {
                 detail: format!(
@@ -158,7 +158,6 @@ impl InkStream {
             hooks,
             user_cache,
             scratch: ScratchPool::default(),
-            cost: CostModel::new(),
             owned: None,
             round: None,
         })
@@ -178,9 +177,7 @@ impl InkStream {
         config: UpdateConfig,
         hooks: Option<Box<dyn UserHooks>>,
     ) -> Result<Self, InkError> {
-        if !model.supports_incremental() {
-            return Err(InkError::ExactGraphNorm);
-        }
+        check_model(&model)?;
         let n = graph.num_vertices();
         let k = model.num_layers();
         if features.shape() != (n, model.in_dim()) {
@@ -222,7 +219,6 @@ impl InkStream {
             hooks,
             user_cache,
             scratch: ScratchPool::default(),
-            cost: CostModel::new(),
             owned: None,
             round: None,
         })
@@ -256,12 +252,6 @@ impl InkStream {
     /// Replaces the update configuration (e.g. to switch ablation modes).
     pub fn set_config(&mut self, config: UpdateConfig) {
         self.config = config;
-    }
-
-    /// The adaptive dispatcher's cost model (sample counts and per-arm
-    /// predictions), for observability exports.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
     }
 
     /// Heap bytes reserved by the engine's reusable scratch pool. Stable
@@ -589,8 +579,8 @@ impl InkStream {
         self.round_finish()
     }
 
-    /// Opens a round: picks the execution plan, seeds the scratch pool, and
-    /// derives the covered-edge set and per-vertex net degree changes.
+    /// Opens a round: sizes its fan-out, seeds the scratch pool, and derives
+    /// the covered-edge set and per-vertex net degree changes.
     fn round_start(
         &mut self,
         directed: Vec<(VertexId, VertexId, EdgeOp)>,
@@ -602,46 +592,21 @@ impl InkStream {
         let k = self.model.num_layers();
         let cfg = self.config;
 
-        // Adaptive dispatch: pick this round's execution plan from the cost
-        // model. Every arm is bitwise-identical — worker/shard counts and the
-        // batched paths never change results — so the choice only trades
-        // wall-clock. Tiny rounds short-circuit to the sequential plan inside
-        // `choose` and never pay fan-out or panel packing.
-        let round_work = directed.len() + seeds0.len();
-        let arm = if cfg.adaptive {
-            Some(self.cost.choose(round_work, cfg.adaptive_min_work, cfg.adaptive_probes))
+        // Rounds below `TINY_ROUND_WORK` run like `sequential()`: fan-out
+        // would cost more than the work. Neither choice changes results.
+        let (nw, ns, par_enabled) = if directed.len() + seeds0.len() < TINY_ROUND_WORK {
+            (1, 1, false)
         } else {
-            None
-        };
-        // The Sequential arm opts out of fan-out only: one worker, one
-        // shard, no rayon. It keeps the configured batched transform and
-        // apply paths (with their thresholds) because those win or tie at
-        // every round size — forcing them off would make the arm lose to a
-        // plain `sequential()` engine on the tiny rounds it exists to win.
-        // The Batched arm instead forces both batched paths on, thresholds
-        // notwithstanding, so the dispatcher can compare packing against
-        // the threshold-gated default.
-        let (nw, ns, par_enabled, batched_tf, batched_ap) = match arm {
-            Some(DispatchArm::Sequential) => {
-                (1, 1, false, cfg.batched_transform, cfg.batched_apply)
-            }
-            Some(DispatchArm::Batched) => (1, 1, false, true, true),
-            Some(DispatchArm::Parallel) | None => (
-                cfg.worker_count(),
-                cfg.shard_count(),
-                cfg.parallel,
-                cfg.batched_transform,
-                cfg.batched_apply,
-            ),
+            (cfg.worker_count(), cfg.shard_count(), cfg.parallel)
         };
 
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.begin_round(k, nw, ns);
-        // The pool only ever grows (see `begin_round`), so after an adaptive
-        // arm switch there may be more pooled workers/shards than this
-        // round's `nw`/`ns`. Every phase below iterates only the first
-        // `nw` workers and `ns` shards — a sequential round must not pay
-        // per-shard walks over pool capacity left behind by a parallel one.
+        // The pool only ever grows (see `begin_round`), so after a wide
+        // round there may be more pooled workers/shards than this round's
+        // `nw`/`ns`. Every phase below iterates only the first `nw` workers
+        // and `ns` shards — a tiny round must not pay walks over pool
+        // capacity left behind by a wider one.
         for l in 0..k {
             scratch.old.reset_layer(l, self.model.msg_dim(l));
         }
@@ -671,10 +636,6 @@ impl InkStream {
             nw,
             ns,
             par_enabled,
-            batched_tf,
-            batched_ap,
-            arm,
-            round_work,
             f32_read: 0,
             f32_written: 0,
             rescale_elapsed: std::time::Duration::ZERO,
@@ -883,7 +844,7 @@ impl InkStream {
         let k = self.model.num_layers();
         let cfg = self.config;
         let (nw, ns) = (rs.nw, rs.ns);
-        let (par_enabled, batched_tf, batched_ap) = (rs.par_enabled, rs.batched_tf, rs.batched_ap);
+        let par_enabled = rs.par_enabled;
         let rescale_elapsed = std::mem::take(&mut rs.rescale_elapsed);
         let mut f32_read: u64 = 0;
         let mut f32_written: u64 = 0;
@@ -1134,63 +1095,52 @@ impl InkStream {
                         return;
                     }
                     // Pass 2: full recomputations. Each equal-key run gathers
-                    // its targets' neighbor rows (in neighbor order) into one
-                    // contiguous panel from the shard's buffer pool and folds
-                    // it with the batched kernels — bitwise identical to the
-                    // scalar loop because every target's rows still fold in
-                    // the same order with the same kernels.
-                    if batched_ap && dim > 0 && recompute.len() >= cfg.apply_batch_threshold.max(1)
-                    {
-                        recompute.sort_unstable();
-                        let mut g = 0;
-                        while g < recompute.len() {
-                            let key = recompute[g].0;
-                            let mut end = g;
-                            let mut rows = 0usize;
-                            while end < recompute.len() && recompute[end].0 == key {
-                                rows +=
-                                    this.graph.in_degree(entries[recompute[end].1 as usize].target);
-                                end += 1;
+                    // its targets' neighbor rows (in neighbor order) into
+                    // contiguous panels of at most `PANEL_FLOATS` from the
+                    // shard's buffer pool and folds them with the batched
+                    // kernels — every target's rows fold in neighbor order,
+                    // exactly as `aggregate_into` would.
+                    recompute.sort_unstable();
+                    let mut g = 0;
+                    while g < recompute.len() {
+                        let key = recompute[g].0;
+                        let mut end = g;
+                        let mut rows = 0usize;
+                        while end < recompute.len() && recompute[end].0 == key {
+                            let u = entries[recompute[end].1 as usize].target;
+                            let deg = this.graph.in_degree(u);
+                            if end > g && (rows + deg) * dim > PANEL_FLOATS {
+                                break;
                             }
-                            let mut panel = gemm.take(rows * dim);
-                            let mut off = 0usize;
-                            for &(_, idx) in &recompute[g..end] {
-                                let u = entries[idx as usize].target;
-                                let deg = this.graph.in_degree(u);
-                                gather_rows_into(
-                                    &this.state.m[l],
-                                    this.graph.in_neighbors(u).iter().map(|&v| v as usize),
-                                    &mut panel[off * dim..(off + deg) * dim],
-                                );
-                                off += deg;
-                            }
-                            let mut off = 0usize;
-                            for &(_, idx) in &recompute[g..end] {
-                                let i = idx as usize;
-                                let deg = this.graph.in_degree(entries[i].target);
-                                agg.aggregate_rows_into(
-                                    &panel[off * dim..(off + deg) * dim],
-                                    &mut alpha_buf[i * dim..(i + 1) * dim],
-                                    apply_comp,
-                                );
-                                off += deg;
-                            }
-                            gemm.put(panel);
-                            *batched_apply_rows += rows;
-                            g = end;
+                            rows += deg;
+                            end += 1;
                         }
-                    } else {
-                        for &(_, idx) in recompute.iter() {
-                            let i = idx as usize;
-                            let u = entries[i].target;
-                            agg.aggregate_into(
-                                this.graph
-                                    .in_neighbors(u)
-                                    .iter()
-                                    .map(|&v| this.state.m[l].row(v as usize)),
-                                &mut alpha_buf[i * dim..(i + 1) * dim],
+                        let mut panel = gemm.take(rows * dim);
+                        let mut off = 0usize;
+                        for &(_, idx) in &recompute[g..end] {
+                            let u = entries[idx as usize].target;
+                            let deg = this.graph.in_degree(u);
+                            gather_rows_into(
+                                &this.state.m[l],
+                                this.graph.in_neighbors(u).iter().map(|&v| v as usize),
+                                &mut panel[off * dim..(off + deg) * dim],
                             );
+                            off += deg;
                         }
+                        let mut off = 0usize;
+                        for &(_, idx) in &recompute[g..end] {
+                            let i = idx as usize;
+                            let deg = this.graph.in_degree(entries[i].target);
+                            agg.aggregate_rows_into(
+                                &panel[off * dim..(off + deg) * dim],
+                                &mut alpha_buf[i * dim..(i + 1) * dim],
+                                apply_comp,
+                            );
+                            off += deg;
+                        }
+                        gemm.put(panel);
+                        *batched_apply_rows += rows;
+                        g = end;
                     }
                     for &(_, idx) in recompute.iter() {
                         let i = idx as usize;
@@ -1300,18 +1250,13 @@ impl InkStream {
 
             // ── Phase 5: next-messages ────────────────────────────────────
             // Rebuild next-layer messages / final outputs into the flat
-            // production buffer — gather→GEMM→scatter when the target set is
-            // big enough, per-node otherwise — then commit sequentially.
+            // production buffer with gather→GEMM→scatter, then commit
+            // sequentially.
             let t_next = Instant::now();
             let nt = scratch.next_targets.len();
             let par_next = par_enabled && nt >= cfg.parallel_threshold;
-            let batched = batched_tf
-                && nt >= cfg.batch_threshold.max(1)
-                && dim > 0
-                && out_dim > 0
-                && prod_dim > 0;
-            if batched {
-                layer_stats.batched_rows = nt;
+            layer_stats.batched_rows = nt;
+            {
                 let ScratchPool {
                     next_targets, next_buf, gather_alpha, gather_self, hidden_buf, gemm, ..
                 } = &mut *scratch;
@@ -1323,7 +1268,7 @@ impl InkStream {
                 let conv = &layer.conv;
                 // Gather the targets' α rows into a contiguous strip, folding
                 // in the target-side degree weight of scaled layers (the same
-                // `a[j] * s` the per-node path computes before its update).
+                // `a[j] * s` `compute_next_hidden` computes before its update).
                 gather_alpha.clear();
                 gather_alpha.resize(nt * dim, 0.0);
                 if degree_scaled {
@@ -1403,49 +1348,13 @@ impl InkStream {
                         }
                     }
                 }
-            } else {
-                let ScratchPool { next_targets, next_buf, .. } = &mut *scratch;
-                next_buf.clear();
-                next_buf.resize(nt * prod_dim, 0.0);
-                let next_targets = &*next_targets;
-                let this = &*self;
-                let run = |(i, chunk): (usize, &mut [f32])| {
-                    let u = next_targets[i];
-                    let h_new = compute_next_hidden(
-                        &this.model,
-                        &this.state,
-                        this.hooks.as_deref(),
-                        &this.user_cache,
-                        l,
-                        u,
-                        this.graph.in_degree(u),
-                    );
-                    if is_last {
-                        chunk.copy_from_slice(&h_new);
-                    } else {
-                        let next_conv = &this.model.layer(l + 1).conv;
-                        let mut msg = next_conv.message(&h_new);
-                        if next_conv.degree_scaled() {
-                            ink_tensor::ops::scale(
-                                &mut msg,
-                                next_conv.degree_scale(this.graph.in_degree(u)),
-                            );
-                        }
-                        chunk.copy_from_slice(&msg);
-                    }
-                };
-                if par_next {
-                    next_buf.par_chunks_mut(prod_dim.max(1)).enumerate().for_each(run);
-                } else {
-                    next_buf.chunks_mut(prod_dim.max(1)).enumerate().for_each(run);
-                }
             }
             f32_read += (nt * 2 * dim) as u64;
             f32_written += (nt * out_dim) as u64;
 
             {
                 let ScratchPool { next_targets, next_buf, old, pending_user, .. } = &mut *scratch;
-                for (&u, chunk) in next_targets.iter().zip(next_buf.chunks(prod_dim.max(1))) {
+                for (&u, chunk) in next_targets.iter().zip(next_buf.chunks(prod_dim)) {
                     if is_last {
                         if chunk != self.state.h.row(u as usize) {
                             self.state.h.set_row(u as usize, chunk);
@@ -1479,8 +1388,8 @@ impl InkStream {
         self.round = Some(rs);
     }
 
-    /// Closes the round: folds the totals into the report, feeds the
-    /// adaptive cost model, and returns the scratch pool to the engine.
+    /// Closes the round: folds the totals into the report and returns the
+    /// scratch pool to the engine.
     pub fn round_finish(&mut self) -> UpdateReport {
         let mut rs = self.round.take().expect("round_finish requires an active round");
         let mut report = std::mem::take(&mut rs.report);
@@ -1488,10 +1397,6 @@ impl InkStream {
         report.f32_read = rs.f32_read;
         report.f32_written = rs.f32_written;
         report.elapsed = rs.t0.elapsed();
-        if let Some(arm) = rs.arm {
-            self.cost.observe(arm, rs.round_work, report.elapsed.as_nanos() as u64);
-            report.dispatch = Some(arm);
-        }
         self.scratch = rs.scratch;
         report
     }
@@ -1599,6 +1504,21 @@ impl InkStream {
     }
 }
 
+/// Rejects models the engine cannot run: exact GraphNorm (its statistics
+/// span the whole vertex set) and layers of zero width.
+fn check_model(model: &Model) -> Result<(), InkError> {
+    if !model.supports_incremental() {
+        return Err(InkError::ExactGraphNorm);
+    }
+    let zero_width = model.in_dim() == 0
+        || (0..model.num_layers())
+            .any(|l| model.msg_dim(l) == 0 || model.layer(l).conv.out_dim() == 0);
+    if zero_width {
+        return Err(InkError::ShapeMismatch { detail: "model has a zero-width layer".into() });
+    }
+    Ok(())
+}
+
 /// Shared ownership predicate: no mask means the engine owns everything;
 /// with a mask, out-of-range vertices are not owned (the driver keeps the
 /// mask sized to the graph).
@@ -1693,7 +1613,7 @@ fn bootstrap_into(
         let self_msg: &[f32] = if conv.self_dependent() { m[l].as_slice() } else { &[] };
         if conv.degree_scaled() {
             // Fold the target-side degree weight into a scaled copy of α —
-            // the same `a[j] * s` the per-node path computes.
+            // the same `a[j] * s` `compute_next_hidden` computes.
             let mut scaled = scratch.take(n * dim);
             gather_rows_scaled_into(
                 &alpha[l],
@@ -1706,7 +1626,7 @@ fn bootstrap_into(
             conv.update_batch_into(n, alpha[l].as_slice(), self_msg, &mut nxt, scratch);
         }
         let cache = user_cache[l].as_ref();
-        nxt.par_chunks_mut(out_dim.max(1)).enumerate().for_each(|(u, out)| {
+        nxt.par_chunks_mut(out_dim).enumerate().for_each(|(u, out)| {
             if let (Some(hk), Some(c)) = (hooks, cache) {
                 hk.contribute(l, u as VertexId, out, c.row(u));
             }
@@ -1856,15 +1776,13 @@ mod tests {
             let make = |cfg: UpdateConfig| {
                 let mut rng = seeded_rng(7);
                 let model = Model::gcn(&mut rng, &[4, 6, 3], agg);
-                InkStream::new(model, ring(20), feats(20, 4), cfg).unwrap()
+                InkStream::new(model, ring(80), feats(80, 4), cfg).unwrap()
             };
-            let delta = DeltaBatch::new(vec![
-                EdgeChange::insert(0, 10),
-                EdgeChange::insert(3, 17),
-                EdgeChange::remove(5, 6),
-                EdgeChange::insert(2, 8),
-                EdgeChange::remove(12, 13),
-            ]);
+            // 36 chords + 4 removals = 80 directed ops, above the tiny-round
+            // cutoff, so the configured split really runs.
+            let mut changes: Vec<_> = (0..36).map(|i| EdgeChange::insert(i, i + 40)).collect();
+            changes.extend((0..4).map(|i| EdgeChange::remove(10 * i + 5, 10 * i + 6)));
+            let delta = DeltaBatch::new(changes);
             let mut reference = make(UpdateConfig::default().sequential());
             reference.apply_delta(&delta);
             for (w, s) in [(1, 1), (2, 3), (4, 8), (3, 16)] {
@@ -1988,140 +1906,57 @@ mod tests {
     }
 
     #[test]
-    fn batched_transform_is_bitwise_equal_to_per_node() {
-        for agg in [Aggregator::Max, Aggregator::Min, Aggregator::Sum, Aggregator::Mean] {
-            let make = |cfg: UpdateConfig| {
-                let mut rng = seeded_rng(30);
-                let model = Model::sage(&mut rng, &[4, 6, 3], agg);
-                InkStream::new(model, ring(24), feats(24, 4), cfg).unwrap()
-            };
-            let delta = DeltaBatch::new(vec![
-                EdgeChange::insert(0, 12),
-                EdgeChange::insert(3, 19),
-                EdgeChange::remove(5, 6),
-                EdgeChange::insert(2, 8),
-            ]);
-            let mut per_node = make(UpdateConfig::default().per_node_transform());
-            let mut batched =
-                make(UpdateConfig { batch_threshold: 1, ..UpdateConfig::default() });
-            let rp = per_node.apply_delta(&delta);
-            let rb = batched.apply_delta(&delta);
-            assert_eq!(batched.output(), per_node.output(), "{agg:?}");
-            assert_eq!(batched.state().m[1], per_node.state().m[1], "{agg:?}");
-            assert_eq!(rp.batched_rows(), 0, "{agg:?}: per-node engine must not batch");
-            assert_eq!(rp.gemm_flops, 0, "{agg:?}");
-            assert!(rb.batched_rows() > 0, "{agg:?}: batched path must engage");
-            assert!(rb.gemm_flops > 0, "{agg:?}: SAGE updates run GEMMs");
-        }
-    }
-
-    #[test]
-    fn batched_apply_is_bitwise_equal_to_per_target() {
+    fn batched_paths_engage_and_match_reference() {
         for agg in [Aggregator::Max, Aggregator::Min, Aggregator::Sum, Aggregator::Mean] {
             // Default config exercises the exposed-reset recomputes of the
             // monotonic path; recompute_all forces every target (including
-            // accumulative ones) through the recompute pass.
+            // accumulative ones) through the apply-phase panel fold.
             for base in [UpdateConfig::default(), UpdateConfig::recompute_all()] {
-                let make = |cfg: UpdateConfig| {
-                    let mut rng = seeded_rng(41);
-                    let model = Model::gcn(&mut rng, &[4, 6, 3], agg);
-                    InkStream::new(model, ring(24), feats(24, 4), cfg).unwrap()
-                };
-                // Removals drive monotonic exposed resets; the insert into a
-                // fresh target adds an empty-old recompute.
-                let delta = DeltaBatch::new(vec![
+                let mut rng = seeded_rng(41);
+                let model = Model::sage(&mut rng, &[4, 6, 3], agg);
+                let mut engine = InkStream::new(model, ring(24), feats(24, 4), base).unwrap();
+                let r = engine.apply_delta(&DeltaBatch::new(vec![
                     EdgeChange::remove(0, 1),
                     EdgeChange::remove(5, 6),
-                    EdgeChange::remove(12, 13),
                     EdgeChange::insert(2, 18),
-                ]);
-                let mut scalar = make(base.per_target_apply());
-                let mut batched = make(UpdateConfig { apply_batch_threshold: 1, ..base });
-                let mut sharded = make(UpdateConfig {
-                    apply_batch_threshold: 1,
-                    num_workers: 3,
-                    num_shards: 8,
-                    parallel_threshold: 0,
-                    ..base
-                });
-                let rs = scalar.apply_delta(&delta);
-                let rb = batched.apply_delta(&delta);
-                let rp = sharded.apply_delta(&delta);
-                assert_eq!(batched.output(), scalar.output(), "{agg:?} {base:?}");
-                assert_eq!(sharded.output(), scalar.output(), "{agg:?} {base:?} sharded");
-                assert_eq!(batched.state().alpha[1], scalar.state().alpha[1], "{agg:?}");
-                assert_eq!(rs.batched_apply_rows(), 0, "{agg:?}: scalar engine must not batch");
+                ]));
+                assert!(r.batched_rows() > 0 && r.gemm_flops > 0, "{agg:?}: SAGE runs GEMMs");
                 if !base.incremental {
-                    assert!(
-                        rb.batched_apply_rows() > 0 && rp.batched_apply_rows() > 0,
-                        "{agg:?}: forced recomputes must take the panel path"
-                    );
+                    assert!(r.batched_apply_rows() > 0, "{agg:?}: forced recomputes fold panels");
+                }
+                let d = engine.audit_full();
+                if agg.is_monotonic() {
+                    assert_eq!(d, 0.0, "{agg:?} {base:?}");
+                } else {
+                    assert!(d < 1e-4, "{agg:?} {base:?}: drift {d}");
                 }
             }
         }
     }
 
     #[test]
-    fn adaptive_dispatch_is_bitwise_equal_and_exercises_every_arm() {
-        for agg in [Aggregator::Max, Aggregator::Mean] {
-            let make = |cfg: UpdateConfig| {
-                let mut rng = seeded_rng(42);
-                let model = Model::gcn(&mut rng, &[4, 6, 3], agg);
-                InkStream::new(model, ring(32), feats(32, 4), cfg).unwrap()
-            };
-            let mut reference = make(UpdateConfig::default().sequential());
-            let mut adaptive = make(UpdateConfig {
-                adaptive_min_work: 0,
-                adaptive_probes: 1,
-                parallel_threshold: 0,
-                num_workers: 2,
-                num_shards: 4,
-                ..UpdateConfig::default().adaptive()
-            });
-            let mut seen = std::collections::HashSet::new();
-            for i in 0..8u32 {
-                let delta = DeltaBatch::new(vec![
-                    EdgeChange::insert(i, i + 16),
-                    EdgeChange::remove(i + 8, i + 9),
-                ]);
-                reference.apply_delta(&delta);
-                let r = adaptive.apply_delta(&delta);
-                seen.insert(r.dispatch.expect("adaptive rounds must report their arm"));
-                assert_eq!(
-                    adaptive.output(),
-                    reference.output(),
-                    "{agg:?}: round {i} diverged under adaptive dispatch"
-                );
-            }
-            assert_eq!(seen.len(), 3, "{agg:?}: probing must exercise every arm, saw {seen:?}");
-        }
+    fn split_recompute_panels_match_reference() {
+        // A hub feature update forces its 5000 degree-1 leaves through one
+        // layer-0 recompute key at width 64: 320k floats, more than one
+        // panel holds.
+        let leaves = 5000u32;
+        let edges: Vec<_> = (1..=leaves).map(|v| (0, v)).collect();
+        let g = DynGraph::undirected_from_edges(leaves as usize + 1, &edges);
+        let mut rng = seeded_rng(45);
+        let model = Model::gcn(&mut rng, &[4, 64, 3], Aggregator::Max);
+        let x = feats(leaves as usize + 1, 4);
+        let mut engine = InkStream::new(model, g, x, UpdateConfig::recompute_all()).unwrap();
+        let r = engine.update_vertex_feature(0, &[1.5, -0.5, 0.25, 2.0]).unwrap();
+        assert!(r.per_layer[0].batched_apply_rows * 64 > PANEL_FLOATS);
+        assert_eq!(engine.output(), &engine.recompute_reference());
     }
 
     #[test]
-    fn adaptive_min_work_short_circuits_small_rounds_to_sequential() {
-        let mut rng = seeded_rng(43);
-        let model = Model::gcn(&mut rng, &[4, 5, 3], Aggregator::Max);
-        let mut engine = InkStream::new(
-            model,
-            ring(16),
-            feats(16, 4),
-            UpdateConfig::default().adaptive(),
-        )
-        .unwrap();
-        // One undirected insert = two directed work items, far below the
-        // default `adaptive_min_work`.
-        for i in 0..4u32 {
-            let r = engine.apply_delta(&DeltaBatch::new(vec![EdgeChange::insert(i, i + 8)]));
-            assert_eq!(r.dispatch, Some(ink_gnn::cost::DispatchArm::Sequential));
-        }
-        assert_eq!(engine.output(), &engine.recompute_reference());
-        // Non-adaptive engines never report a dispatch arm.
-        let mut rng = seeded_rng(43);
-        let model = Model::gcn(&mut rng, &[4, 5, 3], Aggregator::Max);
-        let mut fixed =
-            InkStream::new(model, ring(16), feats(16, 4), UpdateConfig::default()).unwrap();
-        let r = fixed.apply_delta(&DeltaBatch::new(vec![EdgeChange::insert(0, 8)]));
-        assert_eq!(r.dispatch, None);
+    fn zero_width_layer_is_a_shape_error() {
+        let mut rng = seeded_rng(44);
+        let model = Model::gcn(&mut rng, &[4, 0, 3], Aggregator::Max);
+        let err = InkStream::new(model, ring(8), feats(8, 4), UpdateConfig::default());
+        assert!(matches!(err, Err(InkError::ShapeMismatch { .. })));
     }
 
     #[test]

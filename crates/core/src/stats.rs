@@ -2,7 +2,6 @@
 //! and Tables V and VI.
 
 use crate::monotonic::Condition;
-use ink_gnn::cost::DispatchArm;
 use std::time::Duration;
 
 /// Wall-clock time spent in each phase of the per-layer update pipeline.
@@ -112,11 +111,10 @@ pub struct LayerStats {
     /// Condition distribution for this layer.
     pub conditions: ConditionCounts,
     /// Rows the next-messages phase pushed through the batched
-    /// gather→GEMM→scatter transform (0 when the per-node path ran).
+    /// gather→GEMM→scatter transform.
     pub batched_rows: usize,
     /// Neighbor rows the apply phase folded through the batched panel
-    /// recomputation (0 when every recompute took the scalar per-target
-    /// loop).
+    /// recomputation.
     pub batched_apply_rows: usize,
     /// Per-phase wall times of this layer's pipeline pass.
     pub phases: PhaseTimes,
@@ -158,11 +156,8 @@ pub struct UpdateReport {
     /// (duplicate inserts, missing removals) and were skipped.
     pub skipped_changes: usize,
     /// Floating-point operations spent in batched GEMM kernels during the
-    /// next-messages phase (0 when every layer took the per-node path).
+    /// next-messages phase.
     pub gemm_flops: u64,
-    /// The execution plan the adaptive dispatcher chose for this round;
-    /// `None` when the engine ran with a fixed (non-adaptive) configuration.
-    pub dispatch: Option<DispatchArm>,
     /// The *worst* (most expensive) condition each monotonic target hit
     /// across layers — the per-node view behind the paper's Fig. 8. Nodes of
     /// the theoretical affected area that are absent here were never even
@@ -214,10 +209,10 @@ impl UpdateReport {
     /// partitioned-engine summary path, where each partition contributes one
     /// report for the *same* logical round. Counters and per-layer stats
     /// sum; `elapsed` takes the maximum (partitions run concurrently, so
-    /// the round's wall time is the slowest partition's); `dispatch` keeps
-    /// the first recorded arm; `per_node_condition` keeps each node's worst
-    /// condition should the same node appear in both (it normally cannot —
-    /// every target is owned by exactly one partition).
+    /// the round's wall time is the slowest partition's);
+    /// `per_node_condition` keeps each node's worst condition should the
+    /// same node appear in both (it normally cannot — every target is owned
+    /// by exactly one partition).
     pub fn absorb(&mut self, other: &UpdateReport) {
         if self.per_layer.len() < other.per_layer.len() {
             self.per_layer.resize_with(other.per_layer.len(), LayerStats::default);
@@ -233,9 +228,6 @@ impl UpdateReport {
         self.f32_written += other.f32_written;
         self.skipped_changes += other.skipped_changes;
         self.gemm_flops += other.gemm_flops;
-        if self.dispatch.is_none() {
-            self.dispatch = other.dispatch;
-        }
         for (&v, &c) in &other.per_node_condition {
             self.per_node_condition
                 .entry(v)

@@ -1,17 +1,13 @@
-//! Equivalence and steady-state properties of the batched
-//! gather→GEMM→scatter transform (the engine's next-messages phase).
+//! Equivalence and steady-state properties of the engine's batched
+//! execution plan: the gather→GEMM→scatter transform of the next-messages
+//! phase and the panel fold of the apply phase's recomputations.
 //!
-//! * For every conv family × aggregator × worker/shard split, an engine with
-//!   the batched transform produces bitwise-identical state to the per-node
-//!   engine. This is exact, not approximate: the GEMM kernel accumulates
-//!   every output element in the same k order as the per-node `vecmul`, and
-//!   tiling/parallelism only change which elements compute together, never
-//!   the addition order within one element.
-//! * The same holds for the batched *apply-phase* recomputation: gathering
-//!   deferred targets' neighborhoods into panels and folding them with the
-//!   row-panel aggregator kernels replays the exact per-target reduction
-//!   order, so the batched engine also runs with `apply_batch_threshold: 1`
-//!   here while the reference engine uses `per_target_apply()`.
+//! * For every conv family × aggregator × worker/shard split, the engine
+//!   produces bitwise-identical state to a `sequential()` engine, and the
+//!   sequential engine matches full recomputation: bitwise for max/min,
+//!   within the drift harness's 1e-3 for sum/mean. Kernel-level equivalence
+//!   (batched conv updates vs. per-node ones, panel folds vs.
+//!   `aggregate_into`) is covered by the tensor and gnn unit tests.
 //! * Repeated recompute epochs (`resync`) on a hook-free engine reuse the
 //!   cached matrices and pooled temporaries — reserved bytes stay flat.
 
@@ -44,55 +40,55 @@ fn model_for(kind: u8, rng: &mut StdRng, agg: Aggregator) -> Model {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Batched engine == per-node engine, bitwise, across GCN/SAGE/GIN ×
-    /// all four aggregators × arbitrary worker/shard splits.
+    /// Any worker/shard split == `sequential()`, bitwise, and `sequential()`
+    /// == the full-recompute oracle, across GCN/SAGE/GIN × all four
+    /// aggregators.
     #[test]
-    fn batched_transform_matches_per_node_bitwise(
+    fn batched_engine_matches_sequential_and_reference(
         (n, raw_edges) in arb_graph(24),
         seed in 0u64..1000,
         combo in 0usize..12,
         (workers, shards) in (1usize..5, 1usize..9),
-        delta_size in 1usize..8,
+        delta_pick in 1usize..16,
     ) {
+        // 1–7 changes run as a tiny round; 38–45 (76–90 directed ops) clear
+        // the 64-work cutoff and run the configured worker/shard split.
+        let delta_size = if delta_pick < 8 { delta_pick } else { delta_pick + 30 };
         // 12 combos = 3 conv families × 4 aggregators.
         let kind = (combo / 4) as u8;
         let agg =
             [Aggregator::Max, Aggregator::Min, Aggregator::Sum, Aggregator::Mean][combo % 4];
         let g = DynGraph::undirected_from_edges(n, &raw_edges);
-        prop_assume!(g.num_edges() > 2);
+        prop_assume!(g.num_edges() > 2.max(delta_size / 2));
+        prop_assume!(g.num_edges() + delta_size <= n * (n - 1) / 2);
         let make = |cfg: UpdateConfig| {
             let mut rng = seeded_rng(seed);
             let x = uniform(&mut rng, n, 4, -1.0, 1.0);
             let model = model_for(kind, &mut rng, agg);
             InkStream::new(model, g.clone(), x, cfg).unwrap()
         };
-        let mut per_node = make(UpdateConfig::default().per_node_transform().per_target_apply());
-        let mut batched = make(UpdateConfig {
-            batch_threshold: 1,
-            apply_batch_threshold: 1,
+        let mut seq = make(UpdateConfig::default().sequential());
+        let mut split = make(UpdateConfig {
             num_workers: workers,
             num_shards: shards,
             parallel_threshold: 0,
             ..UpdateConfig::default()
         });
-        // Both engines bootstrap to the same state by construction.
-        prop_assert_eq!(per_node.output(), batched.output());
         let mut drng = StdRng::seed_from_u64(seed ^ 0x5eed);
-        let delta = DeltaBatch::random_scenario(per_node.graph(), &mut drng, delta_size);
-        let rp = per_node.apply_delta(&delta);
-        let rb = batched.apply_delta(&delta);
-        prop_assert_eq!(rp.batched_rows(), 0);
-        prop_assert_eq!(rp.gemm_flops, 0);
-        // Per-target apply must stay scalar.
-        prop_assert_eq!(rp.batched_apply_rows(), 0);
-        prop_assert_eq!(batched.output(), per_node.output());
-        for l in 0..per_node.model().num_layers() {
-            prop_assert_eq!(&batched.state().m[l], &per_node.state().m[l]);
-            prop_assert_eq!(&batched.state().alpha[l], &per_node.state().alpha[l]);
+        let delta = DeltaBatch::random_scenario(seq.graph(), &mut drng, delta_size);
+        let rs = seq.apply_delta(&delta);
+        split.apply_delta(&delta);
+        prop_assert_eq!(split.output(), seq.output());
+        for l in 0..seq.model().num_layers() {
+            prop_assert_eq!(&split.state().m[l], &seq.state().m[l]);
+            prop_assert_eq!(&split.state().alpha[l], &seq.state().alpha[l]);
         }
-        // With threshold 1, any visited target means the batched path ran.
-        if rb.nodes_visited > 0 {
-            prop_assert!(rb.batched_rows() > 0, "threshold 1 must engage the batched path");
+        prop_assert_eq!(rs.batched_rows() as u64, rs.nodes_visited);
+        if agg.is_monotonic() {
+            prop_assert_eq!(seq.output(), &seq.recompute_reference());
+        } else {
+            let d = seq.audit_full();
+            prop_assert!(d < 1e-3, "drift {}", d);
         }
     }
 }
